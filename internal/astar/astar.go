@@ -87,7 +87,7 @@ func New(g *grid.Grid) *Engine {
 // large enough and reallocating only when g exceeds every grid this engine
 // has seen. Search state from the previous grid is discarded.
 func (e *Engine) Bind(g *grid.Grid) {
-	n := g.W * g.H * g.Layers
+	n := g.Cells()
 	e.g = g
 	e.cur = 0
 	e.queue = e.queue[:0]
@@ -134,8 +134,6 @@ func (e *Engine) Release() {
 	enginePool.Put(e)
 }
 
-func (e *Engine) idx(c grid.Cell) int { return (c.L*e.g.H+c.Y)*e.g.W + c.X }
-
 func (e *Engine) cell(i int) grid.Cell {
 	w, h := e.g.W, e.g.H
 	return grid.Cell{X: i % w, Y: (i / w) % h, L: i / (w * h)}
@@ -146,40 +144,47 @@ type pqItem struct {
 	f, g int
 }
 
+// pq is a binary min-heap of open-list entries ordered by f ascending,
+// then g descending (prefer deeper nodes on f-ties: straighter paths).
+// Entries equal in both keys leave in an order fixed by their heap
+// positions, which the exact comparison sequence of push/pop determines;
+// any other heap shape (d-ary, bucket queue) reorders those ties and
+// therefore changes paths.
 type pq []pqItem
 
-func (q pq) Len() int      { return len(q) }
-func (q pq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q pq) Less(i, j int) bool {
-	if q[i].f != q[j].f {
-		return q[i].f < q[j].f
+func (q pq) Len() int { return len(q) }
+
+func less(a, b pqItem) bool {
+	if a.f != b.f {
+		return a.f < b.f
 	}
-	return q[i].g > q[j].g // prefer deeper nodes on f-ties: straighter paths
+	return a.g > b.g
 }
 
-// push and pop are the container/heap algorithm specialized to pqItem:
-// identical comparison order (so identical tie-breaking and traces), but
-// no interface boxing — the boxed pqItem per Push/Pop dominated the
-// engine's allocation profile before this.
+// push and pop are the container/heap sift-up and sift-down with a moving
+// hole instead of pairwise swaps: each level makes the same comparison on
+// the same positions as the swap form (so pop order and traces are
+// unchanged) but writes one entry instead of two.
 func (q *pq) push(it pqItem) {
 	*q = append(*q, it)
-	i := len(*q) - 1
+	h := *q
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !q.Less(i, p) {
+		if !less(it, h[p]) {
 			break
 		}
-		q.Swap(i, p)
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = it
 }
 
 func (q *pq) pop() pqItem {
-	old := *q
-	n := len(old) - 1
-	old.Swap(0, n)
-	it := old[n]
-	*q = old[:n]
+	h := *q
+	n := len(h) - 1
+	top, x := h[0], h[n]
+	*q = h[:n]
 	i := 0
 	for {
 		l := 2*i + 1
@@ -187,16 +192,17 @@ func (q *pq) pop() pqItem {
 			break
 		}
 		j := l
-		if r := l + 1; r < n && old.Less(r, l) {
+		if r := l + 1; r < n && less(h[r], h[l]) {
 			j = r
 		}
-		if !old.Less(j, i) {
+		if !less(h[j], x) {
 			break
 		}
-		old.Swap(i, j)
+		h[i] = h[j]
 		i = j
 	}
-	return it
+	h[i] = x
+	return top
 }
 
 // Search finds a minimum-cost path from any source to any target under cfg.
@@ -225,7 +231,7 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 		if !e.g.In(t) {
 			continue
 		}
-		if i := e.idx(t); e.tmark[i] != e.cur {
+		if i := e.g.Index(t); e.tmark[i] != e.cur {
 			e.tmark[i] = e.cur
 			ntargets++
 		}
@@ -240,7 +246,7 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 		if !e.g.In(s) || !e.g.FreeOrNet(s, id) {
 			continue
 		}
-		e.pushNode(e.idx(s), 0, -1)
+		e.pushNode(e.g.Index(s), 0, -1)
 	}
 
 	var steps = [6]grid.Cell{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {L: 1}, {L: -1}}
@@ -282,7 +288,7 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 				}
 				step += extra
 			}
-			e.pushNode(e.idx(nc), it.g+step, int32(i))
+			e.pushNode(e.g.Index(nc), it.g+step, int32(i))
 		}
 	}
 	return nil, false

@@ -53,17 +53,24 @@ func (g *Grid) In(c Cell) bool {
 	return c.X >= 0 && c.X < g.W && c.Y >= 0 && c.Y < g.H && c.L >= 0 && c.L < g.Layers
 }
 
-func (g *Grid) idx(c Cell) int { return (c.L*g.H+c.Y)*g.W + c.X }
+// Index returns c's position in the flat layer-major cell order
+// ((L*H + Y)*W + X), in [0, Cells()). Per-cell side arrays (the A*
+// engine's search state, the router's rip-up penalties) share it.
+func (g *Grid) Index(c Cell) int { return (c.L*g.H+c.Y)*g.W + c.X }
+
+// Cells returns the number of cells W*H*Layers, the length of an array
+// indexed by Index.
+func (g *Grid) Cells() int { return len(g.occ) }
 
 // At returns the occupancy of c: Free, Blocked, or a net id.
-func (g *Grid) At(c Cell) int32 { return g.occ[g.idx(c)] }
+func (g *Grid) At(c Cell) int32 { return g.occ[g.Index(c)] }
 
 // Occupy assigns cell c to net id (no-op checks are the caller's job).
-func (g *Grid) Occupy(c Cell, id int32) { g.occ[g.idx(c)] = id }
+func (g *Grid) Occupy(c Cell, id int32) { g.occ[g.Index(c)] = id }
 
 // Release frees cell c unless it is blocked.
 func (g *Grid) Release(c Cell) {
-	if i := g.idx(c); g.occ[i] != Blocked {
+	if i := g.Index(c); g.occ[i] != Blocked {
 		g.occ[i] = Free
 	}
 }
@@ -82,7 +89,7 @@ func (g *Grid) Clone() *Grid {
 func (g *Grid) Block(l int, r geom.Rect) {
 	for y := maxi(0, r.Y0); y < mini(g.H, r.Y1); y++ {
 		for x := maxi(0, r.X0); x < mini(g.W, r.X1); x++ {
-			g.occ[g.idx(Cell{x, y, l})] = Blocked
+			g.occ[g.Index(Cell{x, y, l})] = Blocked
 		}
 	}
 }

@@ -94,3 +94,24 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Fatal("blockage stats diverged")
 	}
 }
+
+// TestIndexIsFlatLayerMajor pins the cell order that per-cell side arrays
+// (A* search state, rip-up penalties) rely on: Index enumerates
+// [0, Cells()) with X fastest, then Y, then L.
+func TestIndexIsFlatLayerMajor(t *testing.T) {
+	g := New(5, 4, 3, rules.Node10nm())
+	if g.Cells() != 5*4*3 {
+		t.Fatalf("Cells() = %d, want %d", g.Cells(), 5*4*3)
+	}
+	want := 0
+	for l := 0; l < g.Layers; l++ {
+		for y := 0; y < g.H; y++ {
+			for x := 0; x < g.W; x++ {
+				if got := g.Index(Cell{X: x, Y: y, L: l}); got != want {
+					t.Fatalf("Index(%d,%d,%d) = %d, want %d", x, y, l, got, want)
+				}
+				want++
+			}
+		}
+	}
+}

@@ -275,7 +275,7 @@ func (st *state) repairConflicts() {
 				st.rec.Trace("ripup", obs.I("net", id), obs.S("cause", "repair"))
 			}
 			for _, c := range path {
-				st.pen[c] += 6 * st.opt.Alpha
+				st.pen.bump(st.g, c, 6*st.opt.Alpha)
 			}
 			if predicted {
 				st.dirty = ep.dirty
@@ -286,11 +286,23 @@ func (st *state) repairConflicts() {
 	}
 	// Terminal guarantee: if anything still conflicts after the repair
 	// budget, drop the offenders outright — the paper's router guarantees
-	// conflict-free output, trading routability where necessary.
+	// conflict-free output, trading routability where necessary. Removing
+	// a net changes the cut and merge geometry around it, so the drop can
+	// expose a conflict between survivors: re-check until a pass drops
+	// nothing.
+	for st.dropOffenders() {
+	}
+}
+
+// dropOffenders rips up every routed offender of the current layout for
+// good and reports whether it dropped any.
+func (st *state) dropOffenders() bool {
+	dropped := false
 	for _, id := range st.offenders() {
 		if _, routed := st.res.Paths[id]; !routed {
 			continue
 		}
+		dropped = true
 		st.ripup(id)
 		st.res.Routed--
 		st.res.Failed++
@@ -300,6 +312,7 @@ func (st *state) repairConflicts() {
 			st.rec.Trace("route_fail", obs.I("net", id), obs.S("reason", "repair_drop"))
 		}
 	}
+	return dropped
 }
 
 // offenders lists the nets implicated in oracle conflicts, hard overlays or

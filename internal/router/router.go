@@ -8,6 +8,7 @@ package router
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
@@ -256,7 +257,7 @@ type state struct {
 	frags  []*fragstore.Store
 	colors []map[int]decomp.Color
 	locks  []map[int]decomp.Color // colors pinned by the cut-conflict check
-	pen    map[grid.Cell]int      // rip-up cost inflation
+	pen    penalty                // rip-up cost inflation
 	// sp/speng are the corridor graph and its pooled engine, live only
 	// when Options.SparseSearch is effective (serial run). sp mirrors g:
 	// commit and ripup forward every cell mutation.
@@ -328,7 +329,6 @@ func RouteCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set, opt Option
 		ds:  ds,
 		g:   nl.BuildGrid(ds),
 		opt: opt,
-		pen: make(map[grid.Cell]int),
 		rec: rec,
 		ctx: ctx,
 	}
@@ -549,10 +549,10 @@ func (st *state) routeNet(id int) {
 		st.dirty.MarkCells(path)
 		st.dirty.MarkCells(hot)
 		for _, c := range path {
-			st.pen[c] += 2 * st.opt.Alpha * astar.Scale
+			st.pen.bump(st.g, c, 2*st.opt.Alpha*astar.Scale)
 		}
 		for _, c := range hot {
-			st.pen[c] += 16 * st.opt.Alpha * astar.Scale
+			st.pen.bump(st.g, c, 16*st.opt.Alpha*astar.Scale)
 		}
 	}
 }
@@ -600,22 +600,15 @@ func (st *state) searchCfg(id int, n netlist.Net) astar.Config {
 	return st.searchCfgOn(st.g, st.pen, id, n)
 }
 
-// searchCfgOn is searchCfg against an explicit grid and penalty map: the
-// rip-up episode workers price their searches on the episode's frozen
+// searchCfgOn is searchCfg against an explicit grid and penalty array:
+// the rip-up episode workers price their searches on the episode's frozen
 // clone while the serial engine keeps mutating the real state.
-func (st *state) searchCfgOn(g *grid.Grid, pen map[grid.Cell]int, id int, n netlist.Net) astar.Config {
-	pins := make(map[grid.Cell]bool, len(n.A.Candidates)+len(n.B.Candidates))
-	for _, c := range n.A.Candidates {
-		pins[c] = true
-	}
-	for _, c := range n.B.Candidates {
-		pins[c] = true
-	}
+func (st *state) searchCfgOn(g *grid.Grid, pen penalty, id int, n netlist.Net) astar.Config {
 	return astar.Config{
 		WL:        st.opt.Alpha,
 		Via:       st.opt.Beta,
 		MaxExpand: st.opt.MaxExpand,
-		Step:      st.stepCostOn(g, pen, int32(id), pins),
+		Step:      st.stepCostOn(g, pen, int32(id), slices.Concat(n.A.Candidates, n.B.Candidates)),
 	}
 }
 
@@ -646,12 +639,11 @@ func (st *state) hotOwners(id int, hot []grid.Cell) []int {
 // findBlockers runs a soft-occupancy search to identify which routed nets
 // stand between the pins of an unroutable net.
 func (st *state) findBlockers(id int, n netlist.Net) []int {
-	pins := make(map[grid.Cell]bool)
 	cfg := astar.Config{
 		WL:           st.opt.Alpha,
 		Via:          st.opt.Beta,
 		MaxExpand:    st.opt.MaxExpand,
-		Step:         st.stepCost(int32(id), pins),
+		Step:         st.stepCostOn(st.g, st.pen, int32(id), nil),
 		SoftOccupied: 40 * st.opt.Alpha * astar.Scale,
 	}
 	path, ok := st.eng.Search(int32(id), n.A.Candidates, n.B.Candidates, cfg)
@@ -670,22 +662,21 @@ func (st *state) findBlockers(id int, n netlist.Net) []int {
 	return out
 }
 
-// stepCost adds the rip-up penalties and the type-2-b geometry discourager:
-// stepping toward a cell whose forward continuation is blocked by another
-// net means the path would either end tip-to-side against that net (a type
-// 2-b scenario with unavoidable overlay) or corner alongside it.
-func (st *state) stepCost(id int32, pins map[grid.Cell]bool) astar.StepCost {
-	return st.stepCostOn(st.g, st.pen, id, pins)
-}
-
-// stepCostOn is stepCost against an explicit grid and penalty map (see
-// searchCfgOn). Reads only immutable per-run configuration besides its
-// arguments, so episode workers can call the returned closure
-// concurrently with the serial engine.
-func (st *state) stepCostOn(g *grid.Grid, pen map[grid.Cell]int, id int32, pins map[grid.Cell]bool) astar.StepCost {
+// stepCostOn adds the rip-up penalties of pen (read on g's cell index)
+// and the type-2-b geometry discourager: stepping toward a cell whose
+// forward continuation is blocked by another net means the path would
+// either end tip-to-side against that net (a type 2-b scenario with
+// unavoidable overlay) or corner alongside it. pins lists the net's pin
+// candidate cells (nil for none). The closure only reads its arguments
+// and immutable per-run configuration, so wave and episode workers can
+// call it concurrently with the serial engine.
+func (st *state) stepCostOn(g *grid.Grid, pen penalty, id int32, pins []grid.Cell) astar.StepCost {
 	return func(from, to grid.Cell) (int, bool) {
-		extra := pen[to]
-		if to.L != from.L && (pins[from] || pins[to]) {
+		extra := 0
+		if pen != nil {
+			extra = int(pen[g.Index(to)])
+		}
+		if to.L != from.L && (slices.Contains(pins, from) || slices.Contains(pins, to)) {
 			// A via directly at a pin leaves a bare one-cell stub — the
 			// most conflict-prone SADP geometry (it can be flanked by cut
 			// patterns on opposite sides). Push the via off the pin.
@@ -709,6 +700,20 @@ func (st *state) stepCostOn(g *grid.Grid, pen map[grid.Cell]int, id int32, pins 
 		}
 		return extra, true
 	}
+}
+
+// penalty is the per-cell rip-up cost inflation, indexed by
+// grid.Grid.Index. It stays nil until the first bump, so runs that never
+// rip up (the huge corridor-routed dies) pay for no O(cells) array; the
+// step cost reads a nil penalty as 0 everywhere.
+type penalty []int32
+
+// bump adds v to cell c's penalty, allocating the array for g on first use.
+func (p *penalty) bump(g *grid.Grid, c grid.Cell, v int) {
+	if *p == nil {
+		*p = make(penalty, g.Cells())
+	}
+	(*p)[g.Index(c)] += int32(v)
 }
 
 // commit occupies the path and registers fragments.

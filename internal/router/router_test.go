@@ -5,6 +5,7 @@ import (
 
 	"sadproute/internal/bench"
 	"sadproute/internal/decomp"
+	"sadproute/internal/drc"
 	"sadproute/internal/grid"
 	"sadproute/internal/netlist"
 	"sadproute/internal/obs"
@@ -110,4 +111,44 @@ func absAll(a, b grid.Cell) int {
 		d += v
 	}
 	return d
+}
+
+// TestTerminalDropLeavesNoConflict pins the repair phase's terminal
+// guarantee on three instances where dropping the last offenders exposed a
+// cut conflict between surviving nets: the router must keep dropping until
+// the layout is clean, and the independent DRC checker must agree.
+func TestTerminalDropLeavesNoConflict(t *testing.T) {
+	if testing.Short() {
+		t.Skip("routes three 120-net instances")
+	}
+	ds := rules.Node10nm()
+	for _, seed := range []int64{116, 142, 180} {
+		// benchgen -nets 120 -tracks 48 -layers 3 -cands 1 -seed <seed>
+		nl := bench.Generate(bench.Spec{
+			Name: "gen-120-48", Nets: 120, Tracks: 48, Layers: 3, Seed: seed,
+			PinCandidates: 1, AvgHPWL: 4,
+		})
+		res := router.Route(nl, ds, router.Defaults())
+		layouts := res.Layouts()
+		results, tot := decomp.DecomposeLayers(layouts)
+		if tot.Conflicts != 0 || tot.HardOverlays != 0 || tot.Violations != 0 {
+			t.Errorf("seed %d: conf=%d hard=%d viol=%d, want all 0",
+				seed, tot.Conflicts, tot.HardOverlays, tot.Violations)
+		}
+		var layers []drc.Layer
+		for l, ly := range layouts {
+			layers = append(layers, drc.FromDecomp(ly, results[l].Materials))
+		}
+		if rep := drc.CheckDesign(layers, ds); !rep.Clean() {
+			for l, lr := range rep.Layers {
+				if !lr.Clean() {
+					t.Errorf("seed %d layer %d: DRC conf=%d hard=%d viol=%v rule=%v",
+						seed, l, lr.Conflicts, lr.HardOverlays, lr.Violations, lr.RuleErrs)
+				}
+			}
+			if len(rep.ConnErrs) > 0 {
+				t.Errorf("seed %d: DRC connectivity %v", seed, rep.ConnErrs)
+			}
+		}
+	}
 }
